@@ -23,7 +23,7 @@ the symbol PCT for it).
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "pct_pending_drop",
     "pct_evict_drop",
     "completion_pmf",
+    "ChainStep",
     "chain_step",
     "batched_completion_step",
     "queue_completion_pmfs",
@@ -70,7 +71,7 @@ def pct_no_drop(pet: DiscretePMF, prev_pct: DiscretePMF) -> DiscretePMF:
 
     ``PCT(i, j) = PET(i, j) * PCT(i-1, j)`` (discrete convolution).
     """
-    return pet.convolve(prev_pct).compact()
+    return _completion_parts(pet, prev_pct, 0, DroppingPolicy.NONE)[1]
 
 
 def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
@@ -86,12 +87,7 @@ def pct_pending_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> 
     * add back the predecessor's mass at or after the deadline unchanged
       (the ``c_pend(i-1,j)(t)`` pass-through term of Eq. 4).
     """
-    started = prev_pct.truncate_before(deadline)
-    dropped = prev_pct.truncate_from(deadline)
-    result = pet.convolve(started) if not started.is_zero() else DiscretePMF.zero()
-    if not dropped.is_zero():
-        result = result.add(dropped)
-    return result.compact()
+    return _completion_parts(pet, prev_pct, deadline, DroppingPolicy.PENDING)[1]
 
 
 def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> DiscretePMF:
@@ -106,16 +102,36 @@ def pct_evict_drop(pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int) -> Di
     still pending — is preserved at the predecessor's completion times, as
     the paper notes those "discarded impulses ... must be added to C_ij".
     """
+    return _completion_parts(pet, prev_pct, deadline, DroppingPolicy.EVICT)[1]
+
+
+def _completion_parts(
+    pet: DiscretePMF, prev_pct: DiscretePMF, deadline: int, policy: DroppingPolicy
+) -> tuple[DiscretePMF | None, DiscretePMF]:
+    """``(conv, pct)``: the started-branch convolution and the completion PMF.
+
+    ``conv`` is ``pet * started`` where ``started`` is the predecessor mass
+    that lets the task start (all of it under :attr:`DroppingPolicy.NONE`,
+    the part strictly before the deadline otherwise); it is ``None`` when no
+    mass starts.  ``pct`` is the policy's completion PMF (Eqs. 2-5) built
+    from ``conv``.
+    """
+    if policy is DroppingPolicy.NONE:
+        conv = pet.convolve(prev_pct)
+        return conv, conv.compact()
+    if policy is not DroppingPolicy.PENDING and policy is not DroppingPolicy.EVICT:
+        raise ValueError(f"unknown dropping policy: {policy!r}")
     started = prev_pct.truncate_before(deadline)
-    dropped_pending = prev_pct.truncate_from(deadline)
+    dropped = prev_pct.truncate_from(deadline)
     if started.is_zero():
-        ran = DiscretePMF.zero()
+        conv = None
+        result = DiscretePMF.zero()
     else:
-        ran = pet.convolve(started).collapse_tail_to(deadline)
-    result = ran
-    if not dropped_pending.is_zero():
-        result = result.add(dropped_pending)
-    return result.compact()
+        conv = pet.convolve(started)
+        result = conv.collapse_tail_to(deadline) if policy is DroppingPolicy.EVICT else conv
+    if not dropped.is_zero():
+        result = result.add(dropped)
+    return conv, result.compact()
 
 
 def completion_pmf(
@@ -125,13 +141,32 @@ def completion_pmf(
     policy: DroppingPolicy = DroppingPolicy.EVICT,
 ) -> DiscretePMF:
     """Dispatch to the completion-time formula matching ``policy``."""
-    if policy is DroppingPolicy.NONE:
-        return pct_no_drop(pet, prev_pct)
-    if policy is DroppingPolicy.PENDING:
-        return pct_pending_drop(pet, prev_pct, deadline)
-    if policy is DroppingPolicy.EVICT:
-        return pct_evict_drop(pet, prev_pct, deadline)
-    raise ValueError(f"unknown dropping policy: {policy!r}")
+    return _completion_parts(pet, prev_pct, int(deadline), policy)[1]
+
+
+class ChainStep(NamedTuple):
+    """One availability-chain step plus the intermediates it computed.
+
+    Downstream consumers read the per-task pruning inputs off these instead
+    of re-convolving: ``success_probability(deadline)`` equals
+    :func:`repro.core.robustness.success_probability` and
+    ``pct.bounded_skewness()`` equals
+    ``completion_pmf(...).bounded_skewness()``, bit for bit.
+    """
+
+    #: Availability of the machine after the task (``pct`` aggregated).
+    out: DiscretePMF
+    #: The started-branch convolution ``pet * started`` (``None`` when no
+    #: predecessor mass lets the task start).
+    conv: DiscretePMF | None
+    #: The pre-aggregation completion PMF (``completion_pmf``'s result).
+    pct: DiscretePMF
+
+    def success_probability(self, deadline: int) -> float:
+        """Eq. 1 on the started branch: the chance the task completes in time."""
+        if self.conv is None:
+            return 0.0
+        return float(min(1.0, self.conv.cdf(int(deadline))))
 
 
 def chain_step(
@@ -140,21 +175,25 @@ def chain_step(
     deadline: int,
     policy: DroppingPolicy = DroppingPolicy.EVICT,
     max_impulses: int | None = None,
-) -> DiscretePMF:
+) -> ChainStep:
     """THE availability-chain step: one queued task's completion PMF.
 
     ``completion_pmf`` under ``policy`` followed by the impulse-aggregation
-    cap.  Every availability-chain walk in the codebase — the incremental
-    :class:`~repro.simulator.state.SystemState`, its pruning-path
-    ``availability_excluding`` variants, and the per-machine
-    ``Machine.queue_snapshot`` reference path — must advance through this
-    single helper so the paths stay bit-identical by construction.  The
-    lockstep counterpart is :func:`batched_completion_step`.
+    cap (``.out``), returned together with the step's started-branch
+    convolution (``.conv``) and pre-aggregation PCT (``.pct``) so callers
+    that also need the task's success probability or skewness never redo
+    the convolution.  Every availability-chain walk in the codebase — the
+    incremental :class:`~repro.simulator.state.SystemState`, its
+    pruning-path ``availability_excluding`` variants, the phase-2 commit
+    ``VirtualSystemState.assign`` (whose steps the live state adopts), and
+    the per-machine ``Machine.queue_snapshot`` reference path — must
+    advance through this single helper so the paths stay bit-identical by
+    construction.  The lockstep counterpart is
+    :func:`batched_completion_step`.
     """
-    out = completion_pmf(pet, prev, int(deadline), policy)
-    if max_impulses is not None:
-        out = out.aggregate(max_impulses)
-    return out
+    conv, pct = _completion_parts(pet, prev, int(deadline), policy)
+    out = pct if max_impulses is None else pct.aggregate(max_impulses)
+    return ChainStep(out, conv, pct)
 
 
 def batched_completion_step(
@@ -283,8 +322,6 @@ def queue_completion_pmfs(
     out: list[DiscretePMF] = []
     prev = start
     for pet, deadline in zip(pets, deadlines):
-        prev = completion_pmf(pet, prev, int(deadline), policy)
-        if max_impulses is not None:
-            prev = prev.aggregate(max_impulses)
+        prev = chain_step(pet, prev, deadline, policy, max_impulses).out
         out.append(prev)
     return out

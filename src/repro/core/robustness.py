@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .completion import DroppingPolicy
+from .completion import DroppingPolicy, chain_step
 from .pmf import DiscretePMF
 
 __all__ = [
@@ -62,18 +62,16 @@ def queue_success_probabilities(
     """Success probability of every task in a machine queue, head first.
 
     The chain of availability PMFs is propagated with the requested dropping
-    policy (Eqs. 2-5) while each task's own success probability is computed
-    from the pre-aggregation branch via :func:`success_probability`.
+    policy (Eqs. 2-5); each task's success probability is read off the same
+    step's pre-aggregation started branch, so every queue position costs one
+    convolution and the values equal :func:`success_probability`'s.
     """
     if len(pets) != len(deadlines):
         raise ValueError("pets and deadlines must have the same length")
-    from .completion import completion_pmf  # local import to avoid cycle confusion
-
     probs: list[float] = []
     prev = start
     for pet, deadline in zip(pets, deadlines):
-        probs.append(success_probability(pet, prev, int(deadline), policy))
-        prev = completion_pmf(pet, prev, int(deadline), policy)
-        if max_impulses is not None:
-            prev = prev.aggregate(max_impulses)
+        step = chain_step(pet, prev, deadline, policy, max_impulses)
+        probs.append(step.success_probability(deadline))
+        prev = step.out
     return probs

@@ -19,11 +19,13 @@ are maintained incrementally across mapping events, and
 :class:`VirtualSystemState` is a cheap copy-on-write *fork* of that state —
 each virtual machine starts as a reference to the live (immutable)
 availability PMF and only diverges as phase 2 commits provisional
-assignments.  Phase-1 scores are held in a :class:`ScoreTable` (robustness
-and expected-completion matrices over task x machine) backed by the batched
-PMF engine of :mod:`repro.core.batch`: the virtual availabilities form a
-padded ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch` and
-every candidate pair is scored in a single
+assignments; each commit's chain step is handed back to the live state,
+which adopts it when the engine enqueues the task.  Phase-1 scores are held
+in a :class:`ScoreTable` (robustness and expected-completion matrices over
+task x machine) backed by the batched PMF engine of
+:mod:`repro.core.batch`: the virtual availabilities form a padded
+``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch` and every
+candidate pair is scored in a single
 :func:`~repro.core.batch.batched_success_probability` call — bit-identical
 to the scalar :func:`~repro.heuristics.scoring.fast_success_probability`
 per-pair path.  After each phase-2 commit only the *dirty column* (the
@@ -112,6 +114,17 @@ class VirtualSystemState:
         self._policy = context.policy
         self._pet: PETMatrix = context.pet
         self._max_impulses = context.max_impulses
+        state = context.state
+        #: The live state that adopts this fork's phase-2 chain steps; only
+        #: set when its chain settings are the ones the steps are taken with.
+        self._live = (
+            state
+            if state is not None
+            and state.pet is context.pet
+            and state.policy is context.policy
+            and state.max_impulses == context.max_impulses
+            else None
+        )
         dropped = set(dropped_task_ids)
         override = availability_override or {}
         self.machines: list[VirtualMachine] = []
@@ -139,14 +152,22 @@ class VirtualSystemState:
         return self.machines[machine_index].availability
 
     def assign(self, task: Task, machine_index: int) -> None:
-        """Commit a provisional mapping to the virtual queue."""
+        """Commit a provisional mapping to the virtual queue.
+
+        The chain step is handed to the live state
+        (:meth:`~repro.simulator.state.SystemState.hand_off`), which adopts
+        it when the engine enqueues the task instead of taking it again.
+        """
         vm = self.machines[machine_index]
         if not vm.has_free_slot:
             raise RuntimeError(f"virtual machine {machine_index} has no free slot")
         pet_entry = self._pet.get(task.task_type, machine_index)
-        vm.availability = chain_step(
+        step = chain_step(
             pet_entry, vm.availability, task.deadline, self._policy, self._max_impulses
         )
+        if self._live is not None:
+            self._live.hand_off(machine_index, task, vm.availability, step)
+        vm.availability = step.out
         vm.free_slots -= 1
 
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.completion import DroppingPolicy, completion_pmf
+from ..core.completion import DroppingPolicy, chain_step
 from ..core.pmf import DiscretePMF
-from ..core.robustness import success_probability
 from ..simulator.machine import Machine
 from ..simulator.mapping import MappingContext, QueueDrop
 from .fairness import SufferageTracker
@@ -196,16 +195,23 @@ class Pruner:
         """The head-first dropping walk over ``tasks[start_position:]``.
 
         ``prev`` is the availability PMF of the kept tasks ahead; the chain
-        is advanced task by task (Eqs. 2-5 + impulse aggregation) with
-        dropped tasks skipped — shared by the self-contained walk and the
+        is advanced task by task through
+        :func:`~repro.core.completion.chain_step` with dropped tasks skipped,
+        and each task's success probability and skewness come from that
+        step's own convolution.  Shared by the self-contained walk and the
         post-first-drop suffix of the state-backed walk.
         """
         for position, task in enumerate(tasks[start_position:], start=start_position):
-            pet_entry = context.pet.get(task.task_type, machine.index)
-            prob = success_probability(pet_entry, prev, task.deadline, context.policy)
-            pct = completion_pmf(pet_entry, prev, task.deadline, context.policy)
+            step = chain_step(
+                context.pet.get(task.task_type, machine.index),
+                prev,
+                task.deadline,
+                context.policy,
+                context.max_impulses,
+            )
+            prob = step.success_probability(task.deadline)
             threshold = self.thresholds.dropping_threshold_for(
-                pct,
+                step.pct,
                 queue_position=position,
                 sufferage=self._sufferage_of(task.task_type),
             )
@@ -213,9 +219,7 @@ class Pruner:
             if self.thresholds.should_drop(prob, threshold):
                 report.drops.append(QueueDrop(task.task_id, machine.index))
                 continue  # the chain skips the dropped task
-            prev = pct
-            if context.max_impulses is not None:
-                prev = prev.aggregate(context.max_impulses)
+            prev = step.out
         report.availability = prev
 
     def _prune_machine_queue_rebuilding(

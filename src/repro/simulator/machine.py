@@ -224,22 +224,25 @@ class Machine:
 
         When the executing task is anchored at its start time (the default),
         the chain only depends on the queue contents, so it is cached and
-        reused across mapping events until the queue changes.
+        reused across mapping events until the queue changes.  An idle
+        machine's chain is based at ``point(now)`` and is cached per ``now``.
         """
         tasks = self.queued_tasks()
         if not tasks:
             return MachineQueueSnapshot((), (), DiscretePMF.point(now))
         cache_key: tuple | None = None
         if not condition_on_now:
-            # The anchor's evict collapse point is constant (the deadline)
-            # until the executing task outlives it; past the deadline it
-            # tracks ``now``, so it must be part of the key.
-            anchor_cut = (
-                max(self.executing.deadline, now + 1)
-                if self.executing is not None and policy is DroppingPolicy.EVICT
-                else None
-            )
-            cache_key = (self.queue_version, policy, max_impulses, anchor_cut)
+            # An idle machine's chain starts at ``point(now)``, so ``now`` is
+            # part of the key.  The executing anchor's evict collapse point
+            # is constant (the deadline) until the task outlives it; past the
+            # deadline it tracks ``now``, so it must be part of the key too.
+            if self.executing is None:
+                anchor = now
+            elif policy is DroppingPolicy.EVICT:
+                anchor = max(self.executing.deadline, now + 1)
+            else:
+                anchor = None
+            cache_key = (self.queue_version, policy, max_impulses, anchor)
             if self._snapshot_cache is not None and self._snapshot_cache[0] == cache_key:
                 return self._snapshot_cache[1]
 
@@ -255,7 +258,7 @@ class Machine:
             start_index = 0
         for task in tasks[start_index:]:
             pet_entry = pet.get(task.task_type, self.index)
-            prev = chain_step(pet_entry, prev, task.deadline, policy, max_impulses)
+            prev = chain_step(pet_entry, prev, task.deadline, policy, max_impulses).out
             pmfs.append(prev)
         snapshot = MachineQueueSnapshot(tuple(tasks), tuple(pmfs), prev)
         if cache_key is not None:

@@ -156,7 +156,9 @@ class MappingContext:
             kept = kept[1:]
         for task in kept:
             pet_entry = self.pet.get(task.task_type, machine.index)
-            prev = chain_step(pet_entry, prev, task.deadline, self.policy, self.max_impulses)
+            prev = chain_step(
+                pet_entry, prev, task.deadline, self.policy, self.max_impulses
+            ).out
         return prev
 
     def executing_pmf(self, machine_index: int) -> DiscretePMF:

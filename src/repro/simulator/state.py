@@ -12,8 +12,18 @@ simulation-lifetime, incrementally-maintained structure:
 * queue mutations are *notifications* (:meth:`notify_enqueue`,
   :meth:`notify_start`, :meth:`notify_finish`, :meth:`notify_remove`) that
   invalidate only the dirty *suffix* of the affected machine's chain — an
-  enqueue costs one convolution step, a drop at position ``p`` costs
-  ``len(queue) - p`` steps, and untouched machines cost nothing,
+  enqueue costs one convolution step (none when the phase-2 commit already
+  took it, see below), a drop at position ``p`` costs ``len(queue) - p``
+  steps, and untouched machines cost nothing,
+* next to each chain entry the state keeps the step's intermediates (the
+  :class:`~repro.core.completion.ChainStep`: the started-branch convolution
+  and the pre-aggregation completion PMF), truncated with the chain, so the
+  pruning metadata (:meth:`prune_prefix_meta`) is read off them instead of
+  being re-convolved,
+* the phase-2 commit of a mapping event (``VirtualSystemState.assign``)
+  hands the chain steps it takes to the state (:meth:`hand_off`); when the
+  engine then enqueues those tasks the chain adopts the handed-off steps
+  instead of recomputing them,
 * all machines' availability PMFs are served as one live, padded
   ``(n_machines, support)`` :class:`~repro.core.batch.PMFBatch`
   (:meth:`availability_batch`) — the exact input shape the batched scoring
@@ -30,11 +40,15 @@ The incremental path and the rebuild-from-scratch path are **bit-identical**
 (:func:`~repro.core.completion.completion_pmf` followed by impulse
 aggregation) with the same strict left-to-right reduction discipline as the
 rest of the batched engine, and incremental maintenance only ever *caches*
-immutable intermediate PMFs instead of recomputing them.  Construct the
+immutable intermediate PMFs instead of recomputing them.  A handed-off step
+is adopted only when its predecessor is the very PMF object at that chain
+position and its task the very queued task, so it is the step ``_advance``
+would have computed.  Construct the
 state with ``cross_check=True`` (or run the simulator with
 ``SimulatorConfig(state_cross_check=True)``) and every availability query
-re-derives the chain from scratch through the lockstep kernel and raises
-:class:`SystemStateError` on any bit-level divergence —
+re-derives the chain from scratch through the lockstep kernel, every
+pruning-metadata pair read off a kept step is re-derived from scratch, and
+either raises :class:`SystemStateError` on any bit-level divergence —
 ``tests/simulator/test_state.py`` runs seeded full trials in this mode.
 
 Time anchoring
@@ -55,6 +69,7 @@ import numpy as np
 
 from ..core.batch import PMFBatch
 from ..core.completion import (
+    ChainStep,
     DroppingPolicy,
     batched_completion_step,
     chain_step,
@@ -62,6 +77,7 @@ from ..core.completion import (
 )
 from ..core.pmf import DiscretePMF
 from ..core.robustness import success_probability
+from ..obs.telemetry import active as obs_active
 from ..pet.matrix import PETMatrix
 from .machine import Machine
 from .task import Task
@@ -79,7 +95,9 @@ class _MachineChain:
     __slots__ = (
         "tasks",
         "chain",
+        "steps",
         "meta",
+        "handoffs",
         "dirty_from",
         "head_executing",
         "anchor_now",
@@ -94,6 +112,11 @@ class _MachineChain:
         #: ``chain[k]`` is the availability PMF after ``tasks[k]``; entries
         #: past ``dirty_from`` are stale and recomputed lazily.
         self.chain: list[DiscretePMF] = []
+        #: ``steps[k]`` is the :class:`ChainStep` that produced ``chain[k]``
+        #: (``chain[k] is steps[k].out``), or ``None`` for the executing
+        #: anchor and for chains installed by :meth:`SystemState.rebuild`.
+        #: Truncated wherever the chain is.
+        self.steps: list[ChainStep | None] = []
         #: Lazily filled pruning sidecar, parallel to ``chain``:
         #: ``meta[k]`` is ``(success_probability, bounded_skewness)`` of
         #: ``tasks[k]`` given the tasks ahead of it — the per-task inputs of
@@ -101,6 +124,10 @@ class _MachineChain:
         #: is, so entries are never stale; may be shorter than ``chain``
         #: until the pruning path asks for it.
         self.meta: list[tuple[float, float]] = []
+        #: Steps handed off by a phase-2 commit, ``(task, prev, step)``, one
+        #: linear extension of the chain tail; adopted or discarded at the
+        #: next :meth:`SystemState._advance`.
+        self.handoffs: list[tuple[Task, DiscretePMF, ChainStep]] = []
         #: First chain index that needs recomputation (``len(tasks)`` = clean).
         self.dirty_from: int = 0
         #: Whether ``chain[0]`` was computed with ``tasks[0]`` executing.
@@ -122,6 +149,10 @@ class _MachineChain:
 class SystemState:
     """Live, incrementally-updated availability engine for all machines.
 
+    Every chain entry is produced by :func:`~repro.core.completion.chain_step`
+    — taken here, or handed off by a phase-2 commit (:meth:`hand_off`) — and
+    keeps that step's intermediates for the pruning metadata.
+
     Parameters
     ----------
     machines:
@@ -140,9 +171,10 @@ class SystemState:
         each mapping event (matching the pre-existing per-event costs).
     cross_check:
         When True, every availability query re-derives the machine's chain
-        from scratch through the lockstep rebuild kernel and raises
-        :class:`SystemStateError` on any bit-level mismatch with the
-        incrementally maintained chain.
+        from scratch through the lockstep rebuild kernel, every pruning pair
+        :meth:`prune_prefix_meta` reads off a kept chain step is re-derived
+        by a from-scratch convolution, and either raises
+        :class:`SystemStateError` on any bit-level mismatch.
     """
 
     def __init__(
@@ -204,6 +236,7 @@ class SystemState:
             # The whole chain was anchored on the departed head.
             del rec.tasks[0]
             rec.chain.clear()
+            rec.steps.clear()
             rec.meta.clear()
             rec.dirty_from = 0
             rec.version = machine.queue_version
@@ -221,6 +254,7 @@ class SystemState:
         if rec.version == machine.queue_version - 1 and position is not None:
             del rec.tasks[position]
             del rec.chain[position:]
+            del rec.steps[position:]
             del rec.meta[position:]
             rec.dirty_from = min(rec.dirty_from, position)
             rec.version = machine.queue_version
@@ -312,7 +346,8 @@ class SystemState:
                 task.deadline,
                 self.policy,
                 self.max_impulses,
-            )
+            ).out
+        self._count_steps(len(suffix), 0)
         return prev
 
     def prune_prefix_meta(
@@ -328,6 +363,14 @@ class SystemState:
         dirty-suffix discipline, so a queue untouched since the last mapping
         event answers without a single convolution; the pruner only falls
         back to re-convolving *behind* the first task it actually drops.
+
+        Each pair is read off the chain step kept for that entry:
+        ``min(1, conv.cdf(deadline))`` (0 when no mass started) and
+        ``pct.bounded_skewness()`` — the very objects
+        :func:`~repro.core.robustness.success_probability` and
+        :func:`~repro.core.completion.completion_pmf` would rebuild, so the
+        values are bit-identical and cost no convolution.  Under
+        ``cross_check`` every such pair is re-derived from scratch.
 
         For an executing head the pair is computed from the task's raw
         (uncollapsed) completion PMF — the pruner evaluates the executing
@@ -349,14 +392,67 @@ class SystemState:
                 )
                 prob = float(min(1.0, raw.cdf(task.deadline)))
                 skew = raw.bounded_skewness()
+            elif rec.steps[k] is None:
+                # A chain installed by ``rebuild`` keeps no intermediates.
+                prob, skew = self._meta_from_scratch(rec, machine, k, now)
             else:
-                prev = rec.chain[k - 1] if k else DiscretePMF.point(now)
-                pet_entry = self.pet.get(task.task_type, machine.index)
-                prob = success_probability(pet_entry, prev, task.deadline, self.policy)
-                pct = completion_pmf(pet_entry, prev, task.deadline, self.policy)
-                skew = pct.bounded_skewness()
+                step = rec.steps[k]
+                prob = step.success_probability(task.deadline)
+                skew = step.pct.bounded_skewness()
+                if self.cross_check:
+                    reference = self._meta_from_scratch(rec, machine, k, now)
+                    if np.array(reference).tobytes() != np.array((prob, skew)).tobytes():
+                        raise SystemStateError(
+                            f"machine {machine_index}: reused pruning metadata "
+                            f"{(prob, skew)} at queue position {k} differs from "
+                            f"the from-scratch {reference} (time {now})"
+                        )
             rec.meta.append((prob, skew))
         return tuple(rec.meta)
+
+    def _meta_from_scratch(
+        self, rec: _MachineChain, machine: Machine, k: int, now: int
+    ) -> tuple[float, float]:
+        """``(success_probability, bounded_skewness)`` of queued task ``k``,
+        re-convolved from its predecessor on the chain."""
+        task = rec.tasks[k]
+        prev = rec.chain[k - 1] if k else DiscretePMF.point(now)
+        pet_entry = self.pet.get(task.task_type, machine.index)
+        prob = success_probability(pet_entry, prev, task.deadline, self.policy)
+        pct = completion_pmf(pet_entry, prev, task.deadline, self.policy)
+        return prob, pct.bounded_skewness()
+
+    # ------------------------------------------------------------------
+    # Phase-2 hand-off
+    # ------------------------------------------------------------------
+    def hand_off(
+        self, machine_index: int, task: Task, prev: DiscretePMF, step: ChainStep
+    ) -> bool:
+        """Offer a chain step a phase-2 commit already took on this machine.
+
+        ``step`` must be ``chain_step(pet.get(task.task_type, machine_index),
+        prev, task.deadline, policy, max_impulses)`` under this state's
+        settings (the caller checks they match).  The offer is kept only
+        when ``prev`` is the machine's live chain tail or the output of the
+        offer kept just before it, so the kept offers form one extension of
+        the chain, never longer than the queue's free slots.  When the
+        chain next advances, a kept step is adopted for the queue position
+        whose predecessor is the very object ``prev`` and whose task is
+        ``task``; everything else is recomputed and every leftover offer is
+        discarded.  Offers are refused under ``condition_executing_on_now``
+        (each chain is re-anchored at the next query time, so none could be
+        adopted).  Returns whether the offer was kept.
+        """
+        if self.condition_executing_on_now:
+            return False
+        rec = self._records[machine_index]
+        if rec.handoffs and prev is rec.handoffs[-1][2].out:
+            rec.handoffs.append((task, prev, step))
+        elif rec.chain and prev is rec.chain[-1]:
+            rec.handoffs = [(task, prev, step)]
+        else:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Rebuild path (cross-check reference and cold start)
@@ -378,7 +474,9 @@ class SystemState:
             rec = self._records[machine_index]
             rec.tasks = machine.queued_tasks()
             rec.chain = chain
+            rec.steps = [None] * len(chain)
             rec.meta = []
+            rec.handoffs = []
             rec.dirty_from = len(rec.tasks)
             rec.head_executing = bool(rec.tasks) and rec.tasks[0] is machine.executing
             rec.anchor_now = now
@@ -443,7 +541,9 @@ class SystemState:
         """Defensive full resync after an un-notified queue mutation."""
         rec.tasks = machine.queued_tasks()
         rec.chain = []
+        rec.steps = []
         rec.meta = []
+        rec.handoffs = []
         rec.dirty_from = 0
         rec.version = machine.queue_version
 
@@ -493,11 +593,19 @@ class SystemState:
         return rec
 
     def _advance(self, rec: _MachineChain, machine: Machine, now: int) -> None:
-        """Recompute the dirty suffix of one machine's chain."""
+        """Recompute the dirty suffix of one machine's chain.
+
+        A position whose step was handed off (:meth:`hand_off`) with the
+        same predecessor object and task adopts it instead of recomputing;
+        leftover hand-offs are discarded.
+        """
         tasks = rec.tasks
         start = rec.dirty_from
         del rec.chain[start:]
+        del rec.steps[start:]
         del rec.meta[start:]
+        handoffs = rec.handoffs
+        rec.handoffs = []
         if start == 0:
             head_executing = (
                 machine.executing is not None and tasks[0] is machine.executing
@@ -505,6 +613,7 @@ class SystemState:
             if head_executing:
                 prev = self._executing_anchor(machine, now)
                 rec.chain.append(prev)
+                rec.steps.append(None)
                 start = 1
             else:
                 prev = DiscretePMF.point(now)
@@ -512,16 +621,36 @@ class SystemState:
             rec.anchor_now = now
         else:
             prev = rec.chain[start - 1]
+        adopted = 0
         for task in tasks[start:]:
-            prev = chain_step(
-                self.pet.get(task.task_type, machine.index),
-                prev,
-                task.deadline,
-                self.policy,
-                self.max_impulses,
+            step = (
+                next((s for t, p, s in handoffs if t is task and p is prev), None)
+                if handoffs
+                else None
             )
+            if step is None:
+                step = chain_step(
+                    self.pet.get(task.task_type, machine.index),
+                    prev,
+                    task.deadline,
+                    self.policy,
+                    self.max_impulses,
+                )
+            else:
+                adopted += 1
+            prev = step.out
             rec.chain.append(prev)
+            rec.steps.append(step)
         rec.dirty_from = len(tasks)
+        self._count_steps(len(tasks) - start - adopted, adopted)
+
+    @staticmethod
+    def _count_steps(computed: int, handed_off: int) -> None:
+        """Record chain steps in the active telemetry registry (if enabled)."""
+        obs = obs_active()
+        if obs.enabled:
+            obs.count("state.chain_steps", computed)
+            obs.count("state.chain_steps_handed_off", handed_off)
 
     def _verify(self, machine_index: int, now: int, rec: _MachineChain) -> None:
         """Cross-check the incremental chain against a from-scratch rebuild.

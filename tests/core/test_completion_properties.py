@@ -10,7 +10,9 @@ completion-time PMF and deadline:
 * the success probability is the same under pending and evict dropping and
   never exceeds the no-drop success probability... (it equals it below, since
   a task that would be dropped while pending could never have met its
-  deadline anyway).
+  deadline anyway);
+* a chain step's intermediates reproduce the success probability and the
+  completion PMF bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core.completion import (
     DroppingPolicy,
+    chain_step,
+    completion_pmf,
     pct_evict_drop,
     pct_no_drop,
     pct_pending_drop,
@@ -111,3 +115,36 @@ def test_success_probability_bounded_by_unconditional_cdf(pet, prev, deadline):
     prob = success_probability(pet, prev, deadline, DroppingPolicy.EVICT)
     assert 0.0 <= prob <= 1.0
     assert prob <= pet.convolve(prev).cdf(deadline) + 1e-9
+
+
+def _bits(pmf: DiscretePMF) -> tuple[int, bytes]:
+    return pmf.offset, pmf.probs.tobytes()
+
+
+@given(
+    pmfs(),
+    pmfs(max_impulses=8),
+    deadlines,
+    st.sampled_from(list(DroppingPolicy)),
+    st.sampled_from([None, 1, 3]),
+)
+@settings(max_examples=120, deadline=None)
+def test_chain_step_intermediates_match_from_scratch(
+    pet, prev, deadline, policy, max_impulses
+):
+    """The pruning inputs read off a step equal the from-scratch ones exactly."""
+    step = chain_step(pet, prev, deadline, policy, max_impulses)
+    want_prob = success_probability(pet, prev, deadline, policy)
+    want_pct = completion_pmf(pet, prev, deadline, policy)
+    assert np.float64(step.success_probability(deadline)).tobytes() == (
+        np.float64(want_prob).tobytes()
+    )
+    assert _bits(step.pct) == _bits(want_pct)
+    assert np.float64(step.pct.bounded_skewness()).tobytes() == (
+        np.float64(want_pct.bounded_skewness()).tobytes()
+    )
+    want_out = want_pct if max_impulses is None else want_pct.aggregate(max_impulses)
+    assert _bits(step.out) == _bits(want_out)
+    if step.conv is None:
+        assert policy is not DroppingPolicy.NONE
+        assert prev.truncate_before(deadline).is_zero()

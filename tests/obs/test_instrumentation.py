@@ -59,6 +59,8 @@ def test_cli_simulate_obs_flags_write_loadable_artifacts(tmp_path, capsys):
     assert "score_table.fill" in names
     snap = json.loads(snap_path.read_text())
     assert snap["counters"]["engine.events.arrival"] == 60
+    assert snap["counters"]["state.chain_steps"] > 0
+    assert snap["counters"]["state.chain_steps_handed_off"] > 0
     err = capsys.readouterr().err
     assert "wrote obs trace" in err and "wrote obs snapshot" in err
 

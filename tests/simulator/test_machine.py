@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.completion import DroppingPolicy
 from repro.simulator.machine import Machine
+from repro.simulator.state import SystemState
 from repro.simulator.task import Task
 from repro.workload.spec import TaskSpec
 
@@ -151,10 +153,30 @@ class TestProbabilisticSnapshots:
 
     def test_snapshot_cache_reused_until_queue_changes(self, machine, tiny_pet):
         machine.enqueue(make_task(0, deadline=500), now=0)
+        machine.start_next(now=0, actual_execution_time=5)
+        machine.enqueue(make_task(1, deadline=500), now=0)
         first = machine.queue_snapshot(tiny_pet, now=0)
         second = machine.queue_snapshot(tiny_pet, now=10)
         assert second is first  # cached: queue unchanged, anchoring not time-dependent
-        machine.enqueue(make_task(1, deadline=500), now=10)
+        machine.enqueue(make_task(2, deadline=500), now=10)
         third = machine.queue_snapshot(tiny_pet, now=10)
         assert third is not first
-        assert len(third.tasks) == 2
+        assert len(third.tasks) == 3
+
+    def test_idle_snapshot_follows_query_time(self, machine, tiny_pet):
+        # An idle machine's chain is based at point(now): a snapshot cached
+        # at one time must not be served at another.
+        machine.enqueue(make_task(0, deadline=500), now=0)
+        machine.enqueue(make_task(1, deadline=500), now=0)
+        state = SystemState([machine], tiny_pet)
+        for now in (0, 50, 50, 7):
+            snapshot = machine.queue_snapshot(tiny_pet, now=now)
+            reference = state.chain(0, now)
+            assert len(snapshot.completion_pmfs) == len(reference)
+            for got, want in zip(snapshot.completion_pmfs, reference):
+                assert got.offset == want.offset
+                assert np.array_equal(got.probs, want.probs)
+            assert snapshot.availability is snapshot.completion_pmfs[-1]
+        assert machine.queue_snapshot(tiny_pet, now=50).availability.offset == (
+            machine.queue_snapshot(tiny_pet, now=0).availability.offset + 50
+        )

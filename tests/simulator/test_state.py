@@ -17,15 +17,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.completion import DroppingPolicy
+from repro.core.completion import ChainStep, DroppingPolicy, chain_step
 from repro.core.pmf import DiscretePMF
+from repro.heuristics.base import VirtualSystemState
 from repro.heuristics.registry import make_heuristic
+from repro.obs import Telemetry, use_telemetry
 from repro.simulator.engine import HCSimulator, SimulatorConfig
 from repro.simulator.machine import Machine
 from repro.simulator.mapping import MappingContext, batch_in_arrival_order
 from repro.simulator.state import SystemState, SystemStateError
 from repro.simulator.task import Task
 from repro.workload.generator import WorkloadConfig, generate_workload
+from repro.workload.scale import ScaleTraceConfig, generate_scale_trace
 from repro.workload.spec import TaskSpec
 
 
@@ -217,6 +220,260 @@ class TestIncrementalMaintenance:
             state.availability(0, 0)
 
 
+class TestPruneMetaCrossCheck:
+    def test_reused_meta_matches_from_scratch(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        for i, (task_type, deadline) in enumerate([(0, 12), (2, 18), (1, 30)]):
+            task = make_task(i, task_type=task_type, deadline=deadline)
+            m0.enqueue(task, now=0)
+            state.notify_enqueue(0, task)
+        metas = state.prune_prefix_meta(0, 0)
+        assert len(metas) == 3
+        assert 0.0 < metas[1][0] < 1.0
+
+    def test_cross_check_detects_corrupted_step(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        for i, (task_type, deadline) in enumerate([(0, 12), (2, 18)]):
+            task = make_task(i, task_type=task_type, deadline=deadline)
+            m0.enqueue(task, now=0)
+            state.notify_enqueue(0, task)
+        state.availability(0, 0)
+        rec = state._records[0]
+        step = rec.steps[1]
+        rec.steps[1] = ChainStep(step.out, step.conv.shift(3), step.pct)
+        with pytest.raises(SystemStateError, match="pruning metadata"):
+            state.prune_prefix_meta(0, 0)
+
+    def test_rebuilt_chain_serves_meta_from_scratch(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet)
+        m0 = machines[0]
+        for i, (task_type, deadline) in enumerate([(0, 12), (2, 18), (1, 30)]):
+            task = make_task(i, task_type=task_type, deadline=deadline)
+            m0.enqueue(task, now=0)
+            state.notify_enqueue(0, task)
+        incremental = state.prune_prefix_meta(0, 0)
+        state.rebuild(0)
+        assert state._records[0].steps == [None, None, None]
+        assert state.prune_prefix_meta(0, 0) == incremental
+
+
+def _busy_queue(machine: Machine, state: SystemState) -> tuple[Task, Task]:
+    """Executing head plus one pending task, with the state notified."""
+    head = make_task(100, task_type=0, deadline=300)
+    machine.enqueue(head, now=0)
+    state.notify_enqueue(machine.index, head)
+    machine.start_next(now=0, actual_execution_time=5)
+    state.notify_start(machine.index)
+    pending = make_task(101, task_type=2, deadline=320)
+    machine.enqueue(pending, now=0)
+    state.notify_enqueue(machine.index, pending)
+    return head, pending
+
+
+def _context(machines, pet, state, **kwargs) -> MappingContext:
+    return MappingContext(
+        now=0,
+        batch=(),
+        machines=tuple(machines),
+        pet=pet,
+        policy=DroppingPolicy.EVICT,
+        state=state,
+        **kwargs,
+    )
+
+
+class TestPhase2HandOff:
+    def test_adopted_on_identical_prev_and_task(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        _busy_queue(m0, state)
+        virtual = VirtualSystemState(_context(machines, tiny_pet, state))
+        first, second = make_task(0, deadline=340), make_task(1, deadline=380)
+        virtual.assign(first, 0)
+        virtual.assign(second, 0)
+        assert len(state._records[0].handoffs) == 2
+        tel = Telemetry()
+        with use_telemetry(tel):
+            for task in (first, second):
+                m0.enqueue(task, now=0)
+                state.notify_enqueue(0, task)
+            got = state.availability(0, 0)
+        assert got is virtual.availability(0)  # adopted, not recomputed
+        assert tel.counters["state.chain_steps_handed_off"] == 2
+        assert tel.counters["state.chain_steps"] == 0
+        assert state._records[0].handoffs == []
+
+    def test_refused_on_equal_but_distinct_prev(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        _busy_queue(machines[0], state)
+        tail = state.availability(0, 0)
+        clone = DiscretePMF._raw(tail.probs.copy(), tail.offset)
+        task = make_task(0, deadline=340)
+        step = chain_step(
+            tiny_pet.get(0, 0), clone, task.deadline, state.policy, state.max_impulses
+        )
+        assert not state.hand_off(0, task, clone, step)
+        assert state._records[0].handoffs == []
+
+    def test_not_adopted_for_a_different_task(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        _busy_queue(m0, state)
+        tail = state.availability(0, 0)
+        twin, queued = make_task(0, deadline=340), make_task(0, deadline=340)
+        step = chain_step(
+            tiny_pet.get(0, 0), tail, twin.deadline, state.policy, state.max_impulses
+        )
+        assert state.hand_off(0, twin, tail, step)
+        tel = Telemetry()
+        with use_telemetry(tel):
+            m0.enqueue(queued, now=0)
+            state.notify_enqueue(0, queued)
+            got = state.availability(0, 0)
+        assert got is not step.out
+        assert pmf_equal(got, step.out)
+        assert tel.counters["state.chain_steps"] == 1
+        assert tel.counters["state.chain_steps_handed_off"] == 0
+        assert state._records[0].handoffs == []
+
+    def test_not_adopted_after_the_chain_changed_ahead(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        _, pending = _busy_queue(m0, state)
+        virtual = VirtualSystemState(_context(machines, tiny_pet, state))
+        task = make_task(0, deadline=340)
+        virtual.assign(task, 0)
+        assert len(state._records[0].handoffs) == 1
+        # The predecessor the step was taken on leaves before the enqueue.
+        m0.remove_pending(pending)
+        state.notify_remove(0, pending)
+        m0.enqueue(task, now=0)
+        state.notify_enqueue(0, task)
+        got = state.availability(0, 0)
+        assert got is not virtual.availability(0)
+        assert pmf_equal(
+            got,
+            reference_availability(m0, tiny_pet, 0),
+        )
+        assert state._records[0].handoffs == []
+
+    def test_refused_for_availability_excluding_base(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet, cross_check=True)
+        m0 = machines[0]
+        _, pending = _busy_queue(m0, state)
+        behind = make_task(102, task_type=1, deadline=360)
+        m0.enqueue(behind, now=0)
+        state.notify_enqueue(0, behind)
+        virtual = VirtualSystemState(
+            _context(machines, tiny_pet, state), dropped_task_ids={pending.task_id}
+        )
+        task = make_task(0, deadline=380)
+        virtual.assign(task, 0)
+        assert state._records[0].handoffs == []
+        m0.remove_pending(pending)
+        state.notify_remove(0, pending)
+        m0.enqueue(task, now=0)
+        state.notify_enqueue(0, task)
+        got = state.availability(0, 0)
+        assert got is not virtual.availability(0)
+        assert pmf_equal(got, virtual.availability(0))
+
+    def test_refused_when_executing_is_conditioned_on_now(self, tiny_pet, machines):
+        state = SystemState(
+            machines, tiny_pet, condition_executing_on_now=True, cross_check=True
+        )
+        m0 = machines[0]
+        _busy_queue(m0, state)
+        virtual = VirtualSystemState(
+            _context(machines, tiny_pet, state, condition_executing_on_now=True)
+        )
+        task = make_task(0, deadline=340)
+        virtual.assign(task, 0)
+        assert state._records[0].handoffs == []
+        m0.enqueue(task, now=0)
+        state.notify_enqueue(0, task)
+        assert pmf_equal(state.availability(0, 0), virtual.availability(0))
+
+    def test_not_offered_under_other_chain_settings(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet)
+        _busy_queue(machines[0], state)
+        virtual = VirtualSystemState(
+            _context(machines, tiny_pet, state, max_impulses=4)
+        )
+        virtual.assign(make_task(0, deadline=340), 0)
+        assert state._records[0].handoffs == []
+
+    def test_unapplied_decisions_keep_hand_offs_bounded(self, tiny_pet, machines):
+        state = SystemState(machines, tiny_pet)
+        for machine in machines:
+            _busy_queue(machine, state)
+        batch = tuple(
+            make_task(i, task_type=i % 3, deadline=400 + i) for i in range(12)
+        )
+        heuristic = make_heuristic("MM", num_task_types=tiny_pet.num_task_types)
+        for _ in range(3):
+            context = MappingContext(
+                now=0,
+                batch=batch,
+                machines=tuple(machines),
+                pet=tiny_pet,
+                policy=DroppingPolicy.EVICT,
+                state=state,
+            )
+            decision = heuristic.map_tasks(context)
+            assert decision.assignments
+            for machine, rec in zip(machines, state._records):
+                assert len(rec.handoffs) <= machine.free_slots
+
+
+class _HandOffBound:
+    """Engine observer asserting the hand-off bound after every mapping event."""
+
+    def __init__(self, sim: HCSimulator) -> None:
+        self.sim = sim
+        self.events = 0
+
+    def on_assigned(self, task, machine_index, now) -> None:
+        pass
+
+    def on_terminal(self, task) -> None:
+        pass
+
+    def on_mapping_event(self, now, decision) -> None:
+        self.events += 1
+        for machine, rec in zip(self.sim.machines, self.sim.state._records):
+            assert len(rec.handoffs) <= machine.queue_capacity
+
+
+@pytest.mark.parametrize("batch_window", [0, 25])
+def test_full_trial_hand_offs_adopted_and_bounded(spec_pet_small, batch_window):
+    trace = generate_workload(
+        WorkloadConfig(num_tasks=200, time_span=800, beta=1.2), spec_pet_small, rng=5
+    )
+
+    def run(telemetry):
+        heuristic = make_heuristic("PAMF", num_task_types=spec_pet_small.num_task_types)
+        sim = HCSimulator(
+            spec_pet_small,
+            heuristic,
+            config=SimulatorConfig(state_cross_check=True, batch_window=batch_window),
+            rng=17,
+        )
+        sim.observer = bound = _HandOffBound(sim)
+        with use_telemetry(telemetry):
+            result = sim.run(trace)
+        assert bound.events > 0
+        return result
+
+    tel = Telemetry()
+    traced = run(tel)
+    assert tel.counters["state.chain_steps_handed_off"] > 0
+    assert tel.counters["state.chain_steps"] > 0
+    assert _signature(traced) == _signature(run(None))
+
+
 class TestMappingContextViews:
     def test_context_serves_live_state(self, tiny_pet, machines):
         state = SystemState(machines, tiny_pet)
@@ -321,3 +578,33 @@ def spec_pet_small():
     from repro.pet.builders import build_spec_pet
 
     return build_spec_pet(rng=1, n_samples=120)
+
+
+def test_oversubscribed_batched_pamf_meta_cross_check(spec_pet_small, monkeypatch):
+    """Oversubscribed PAMF rounds: every reused pruning pair is re-derived.
+
+    Under ``state_cross_check`` each ``(success_probability, skewness)`` pair
+    the pruner reads off a kept chain step is checked bit for bit against a
+    from-scratch convolution; the trial must also match the unchecked run.
+    """
+    trace = generate_scale_trace(
+        ScaleTraceConfig(num_tasks=300, load_factor=2.0), rng=23, pet=spec_pet_small
+    )
+    checks = []
+    from_scratch = SystemState._meta_from_scratch
+
+    def counted(self, *args):
+        checks.append(args[2])
+        return from_scratch(self, *args)
+
+    def run(cross_check):
+        heuristic = make_heuristic("PAMF", num_task_types=spec_pet_small.num_task_types)
+        config = SimulatorConfig(state_cross_check=cross_check, batch_window=120)
+        return HCSimulator(spec_pet_small, heuristic, config=config, rng=29).run(trace)
+
+    plain = run(False)
+    monkeypatch.setattr(SystemState, "_meta_from_scratch", counted)
+    checked = run(True)
+    assert _signature(plain) == _signature(checked)
+    assert checked.counters.proactive_drops > 0
+    assert len(checks) > 0
